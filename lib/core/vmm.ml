@@ -63,6 +63,8 @@ type t = {
   mutable mcast_filled_bytes : int;  (* filled from multicast frames *)
   mutable mcast_dups : int;  (* multicast frames carrying nothing new *)
   mutable last_mcast_at : Time.t option;  (* carousel liveness signal *)
+  mutable mcast : (Fabric.port * int) option;  (* joined (port, group) *)
+  mutable stop_mcast_watch : unit -> unit;  (* cancels the pause daemon *)
   mutable events : (Time.t * string) list;  (* phase log, newest first *)
 }
 
@@ -162,6 +164,17 @@ let med_devirtualize t = match t.mediator with
   | A m -> Ahci_mediator.devirtualize m
   | I m -> Ide_mediator.devirtualize m
 
+(* Once the image is complete (or the VMM goes away) the carousel has
+   nothing left to give this machine: leave the group so the switch
+   stops fanning frames out to its NIC, and stop the pause daemon. *)
+let leave_mcast t =
+  match t.mcast with
+  | None -> ()
+  | Some (port, group) ->
+    Fabric.mcast_leave port ~group;
+    t.stop_mcast_watch ();
+    t.mcast <- None
+
 (* §3.4: nested paging is turned off per-CPU; no TLB-shootdown IPIs are
    needed because the identity mapping never changed. *)
 let nested_paging_off_per_cpu = Time.us 8
@@ -176,6 +189,7 @@ let devirtualize t =
       ~cost:t.params.Params.exit_cost
   done;
   med_devirtualize t;
+  leave_mcast t;
   (match t.transport with
   | Shared m -> Nic_mediator.devirtualize m
   | Dedicated d ->
@@ -388,6 +402,8 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
       mcast_filled_bytes = 0;
       mcast_dups = 0;
       last_mcast_at = None;
+      mcast = None;
+      stop_mcast_watch = ignore;
       events = [] }
   in
   log_event t (if resume then "VMM booted (resuming)" else "VMM booted");
@@ -422,6 +438,7 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
       | `Prod | `Shared -> Nic.port machine.Machine.prod_nic
     in
     Fabric.mcast_join nic_port ~group;
+    t.mcast <- Some (nic_port, group);
     let fifo = Mailbox.create () in
     Aoe_client.subscribe_mcast aoe (fun ~lba ~count data ->
         if lba >= 0 && count > 0 && lba + count <= params.Params.image_sectors
@@ -455,25 +472,24 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
        it pauses again. Copy-on-read is untouched either way — sectors
        the guest demands right now still arrive over unicast. *)
     let quiet = Time.ms 600 in
-    ignore
-      (Sim.every machine.Machine.sim ~daemon:true (Time.ms 200) (fun () ->
-           match t.background with
-           | None -> ()
-           | Some bg ->
-             let live =
-               (not (Bitmap.is_complete t.bitmap))
-               &&
-               match t.last_mcast_at with
-               | Some ts -> Sim.now machine.Machine.sim - ts < quiet
-               | None -> false
-             in
-             if live then begin
-               if not (Background_copy.is_paused bg) then
-                 Background_copy.pause bg
-             end
-             else if Background_copy.is_paused bg then
-               Background_copy.resume bg)
-        : unit -> unit));
+    t.stop_mcast_watch <-
+      Sim.every machine.Machine.sim ~daemon:true (Time.ms 200) (fun () ->
+          match t.background with
+          | None -> ()
+          | Some bg ->
+            let live =
+              (not (Bitmap.is_complete t.bitmap))
+              &&
+              match t.last_mcast_at with
+              | Some ts -> Sim.now machine.Machine.sim - ts < quiet
+              | None -> false
+            in
+            if live then begin
+              if not (Background_copy.is_paused bg) then
+                Background_copy.pause bg
+            end
+            else if Background_copy.is_paused bg then
+              Background_copy.resume bg));
   stage_span machine.Machine.sim ~machine "vmm_init" ~ts:boot_started;
   Sim.spawn ~name:"bmcast-deployment" (fun () -> deployment t);
   t
@@ -504,6 +520,7 @@ let shutdown t =
   let lba, count = save_region t in
   med_vmm_write t ~lba ~count (Bitmap.to_blob_sectors t.bitmap);
   med_devirtualize t;
+  leave_mcast t;
   (match t.transport with
   | Dedicated d -> Vmm_netdrv.stop d
   | Shared m -> Nic_mediator.devirtualize m);

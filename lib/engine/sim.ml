@@ -100,12 +100,24 @@ let profile sim = sim.profile_
    site (clock + nonnegative delay), so skip the past-time check. *)
 let push_job sim at job = ignore (Timer_wheel.push sim.events at job : Timer_wheel.token)
 
-let schedule sim at fn =
+(* Past-time check for the external scheduling entry points. *)
+let check_future sim ~caller at =
   if at < sim.clock then
     invalid_arg
-      (Printf.sprintf "Sim.schedule: time %s is in the past (now %s)"
-         (Time.to_string at) (Time.to_string sim.clock));
+      (Printf.sprintf "Sim.%s: time %s is in the past (now %s)" caller
+         (Time.to_string at) (Time.to_string sim.clock))
+
+let schedule sim at fn =
+  check_future sim ~caller:"schedule" at;
   push_job sim at (Job_fn fn)
+
+type timer = Timer_wheel.token
+
+let timer sim at fn =
+  check_future sim ~caller:"timer" at;
+  Timer_wheel.push sim.events at (Job_fn fn)
+
+let cancel sim tok = ignore (Timer_wheel.cancel sim.events tok : bool)
 
 let push_daemon sim at fn =
   sim.daemons <- sim.daemons + 1;
@@ -256,10 +268,7 @@ and run_job sim job =
   | Job_none -> assert false
 
 let spawn_at sim ?name at f =
-  if at < sim.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.spawn_at: time %s is in the past (now %s)"
-         (Time.to_string at) (Time.to_string sim.clock));
+  check_future sim ~caller:"spawn_at" at;
   push_job sim at (Job_proc (name, f))
 
 let request_stop sim = sim.stop_requested <- true

@@ -54,6 +54,18 @@ val schedule : t -> Time.t -> (unit -> unit) -> unit
 (** [schedule sim at fn] runs callback [fn] at absolute time [at] (which
     must not be in the past). *)
 
+type timer
+(** Handle on a callback scheduled with {!timer}. *)
+
+val timer : t -> Time.t -> (unit -> unit) -> timer
+(** Like {!schedule}, but the callback can be withdrawn with {!cancel}
+    before it fires. A cancelled timer runs nothing and no longer keeps
+    {!run} alive. *)
+
+val cancel : t -> timer -> unit
+(** Withdraw a pending {!timer}. No-op when it already fired or was
+    already cancelled. *)
+
 val every : t -> ?daemon:bool -> ?start:Time.t -> Time.span -> (unit -> unit) -> unit -> unit
 (** [every sim span fn] runs callback [fn] every [span] of virtual
     time, first at [start] (default: one [span] from now). Returns a

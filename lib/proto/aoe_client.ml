@@ -18,6 +18,9 @@ type pending = {
   mutable response_lba : int;  (* Query_config answer *)
   mutable failed : bool;  (* target answered with the error flag *)
   done_ : Signal.Latch.t;
+  mutable sends : int;  (* transmissions so far; 1 = never retransmitted *)
+  mutable sent_at : Time.t;  (* latest transmission *)
+  mutable last_rx : Time.t;  (* latest response frame; -1 before any *)
 }
 
 type t = {
@@ -32,6 +35,12 @@ type t = {
   minor : int;
   mutable next_tag : int;
   pending : (int, pending) Hashtbl.t;
+  (* Retransmission timer state (Jacobson/Karels estimator, Karn's
+     rule), shared by every command of this client. *)
+  mutable srtt : Time.span;
+  mutable rttvar : Time.span;
+  mutable rtt_samples : int;
+  mutable backoff : int;  (* exponent, persistent across commands *)
   mutable retransmits : int;
   mutable requests_sent : int;
   mutable escalation : (attempts:int -> Aoe.header -> [ `Retry | `Fail ]) option;
@@ -57,6 +66,10 @@ let create sim ~send ?owner ?(mtu = 9000) ?(timeout = Time.ms 20)
     minor;
     next_tag = 1;
     pending = Hashtbl.create 32;
+    srtt = 0;
+    rttvar = 0;
+    rtt_samples = 0;
+    backoff = 0;
     retransmits = 0;
     requests_sent = 0;
     escalation = None;
@@ -74,6 +87,36 @@ let escalations t = t.escalations
 let completions t = t.completions
 let pending_count t = Hashtbl.length t.pending
 
+(* RFC 6298 constants: gains 1/8 (SRTT) and 1/4 (RTTVAR), RTO = SRTT +
+   4 RTTVAR; the backoff doubling is capped at 2^6. *)
+let max_backoff = 6
+
+let rto t =
+  if t.rtt_samples = 0 then t.timeout
+  else Time.max t.timeout (Time.add t.srtt (4 * t.rttvar))
+
+let backoff t = 1 lsl t.backoff
+let srtt t = if t.rtt_samples = 0 then None else Some t.srtt
+let rtt_samples t = t.rtt_samples
+
+(* How long a command may stay silent before it is retransmitted. *)
+let wait_span t = Time.mul (rto t) (1 lsl t.backoff)
+
+(* A clean sample (Karn's rule: first response frame of a command that
+   was never retransmitted) updates the estimator and ends any backoff. *)
+let sample_rtt t r =
+  if t.rtt_samples = 0 then begin
+    t.srtt <- r;
+    t.rttvar <- r / 2
+  end
+  else begin
+    let err = r - t.srtt in
+    t.rttvar <- t.rttvar + ((abs err - t.rttvar) / 4);
+    t.srtt <- t.srtt + (err / 8)
+  end;
+  t.rtt_samples <- t.rtt_samples + 1;
+  t.backoff <- 0
+
 let fresh_tag t =
   let tag = t.next_tag in
   t.next_tag <- if tag >= 0xFF_FFFF then 1 else tag + 1;
@@ -87,6 +130,47 @@ let fresh_tag t =
 let release_data frame =
   if Array.length frame.Aoe.data > 0 then
     Content.Scratch.release frame.Aoe.data
+
+(* One response frame for pending command [p]. *)
+let on_response t frame p =
+  let hdr = frame.Aoe.hdr in
+  let now = Sim.now t.sim in
+  if p.last_rx < 0 && p.sends = 1 then sample_rtt t (Time.diff now p.sent_at);
+  p.last_rx <- now;
+  if hdr.Aoe.error then begin
+    p.failed <- true;
+    Hashtbl.remove t.pending hdr.Aoe.tag;
+    t.completions <- t.completions + 1;
+    Signal.Latch.set p.done_
+  end
+  else begin
+    let base = p.request.Aoe.lba in
+    (match p.request.Aoe.command with
+    | Aoe.Ata_read ->
+      let off = hdr.Aoe.lba - base in
+      let n = Array.length frame.Aoe.data in
+      (if off < 0 || off + n > Array.length p.assembly then ()
+       else
+         for i = 0 to n - 1 do
+           if not p.got.(off + i) then begin
+             p.got.(off + i) <- true;
+             p.assembly.(off + i) <- frame.Aoe.data.(i);
+             p.received <- p.received + 1
+           end
+         done);
+      release_data frame
+    | Aoe.Ata_write ->
+      (* A write ack covers the whole command. *)
+      if p.received = 0 then p.received <- p.request.Aoe.count
+    | Aoe.Query_config ->
+      p.response_lba <- hdr.Aoe.lba;
+      if p.received = 0 then p.received <- p.request.Aoe.count);
+    if p.received >= p.request.Aoe.count then begin
+      Hashtbl.remove t.pending hdr.Aoe.tag;
+      t.completions <- t.completions + 1;
+      Signal.Latch.set p.done_
+    end
+  end
 
 let on_frame_inner t frame =
   let hdr = frame.Aoe.hdr in
@@ -106,40 +190,9 @@ let on_frame_inner t frame =
       | _ -> ()
     end
     else
-    match Hashtbl.find_opt t.pending hdr.Aoe.tag with
-    | None -> release_data frame  (* stale duplicate after completion *)
-    | Some p when hdr.Aoe.error ->
-      p.failed <- true;
-      Hashtbl.remove t.pending hdr.Aoe.tag;
-      t.completions <- t.completions + 1;
-      Signal.Latch.set p.done_
-    | Some p ->
-      let base = p.request.Aoe.lba in
-      (match p.request.Aoe.command with
-      | Aoe.Ata_read ->
-        let off = hdr.Aoe.lba - base in
-        let n = Array.length frame.Aoe.data in
-        (if off < 0 || off + n > Array.length p.assembly then ()
-         else
-           for i = 0 to n - 1 do
-             if not p.got.(off + i) then begin
-               p.got.(off + i) <- true;
-               p.assembly.(off + i) <- frame.Aoe.data.(i);
-               p.received <- p.received + 1
-             end
-           done);
-        release_data frame
-      | Aoe.Ata_write ->
-        (* A write ack covers the whole command. *)
-        if p.received = 0 then p.received <- p.request.Aoe.count
-      | Aoe.Query_config ->
-        p.response_lba <- hdr.Aoe.lba;
-        if p.received = 0 then p.received <- p.request.Aoe.count);
-      if p.received >= p.request.Aoe.count then begin
-        Hashtbl.remove t.pending hdr.Aoe.tag;
-        t.completions <- t.completions + 1;
-        Signal.Latch.set p.done_
-      end
+      match Hashtbl.find_opt t.pending hdr.Aoe.tag with
+      | None -> release_data frame  (* stale duplicate after completion *)
+      | Some p -> on_response t frame p
 
 (* Response reassembly never blocks (latch wake-ups only push jobs), so
    it is safe to scope for the allocation profiler. *)
@@ -157,13 +210,42 @@ let command_name = function
   | Aoe.Ata_write -> "aoe-write"
   | Aoe.Query_config -> "query-config"
 
-(* Issue one command and block until fully answered, retrying on
-   timeout. *)
+(* Park until [p] completes (true) or has been silent — no response
+   frame since its latest transmission — for the client's current wait
+   span (false). The timer re-arms itself while fragments keep
+   arriving, so a long response streaming in behind a busy port is
+   never mistaken for a loss; the span is re-read at every expiry, so a
+   fresher RTT estimate or backoff applies to commands already in
+   flight. *)
+let await t p =
+  let timer = ref None in
+  let woke =
+    Sim.suspend (fun waker ->
+        (* Completion wake-up racing the timer; first caller wins. *)
+        Signal.Latch.on_set p.done_ (fun () -> ignore (waker true : bool));
+        let rec arm at =
+          timer :=
+            Some
+              (Sim.timer t.sim at (fun () ->
+                   if not (Signal.Latch.is_set p.done_) then begin
+                     let due =
+                       Time.add (Time.max p.sent_at p.last_rx) (wait_span t)
+                     in
+                     if due > Sim.now t.sim then arm due
+                     else ignore (waker false : bool)
+                   end))
+        in
+        arm (Time.add p.sent_at (wait_span t)))
+  in
+  if woke then Option.iter (Sim.cancel t.sim) !timer;
+  woke || Signal.Latch.is_set p.done_
+
+(* Issue one command and block until fully answered, retransmitting
+   after each silent wait span. *)
 let run_command t request write_data =
   let tr = Sim.trace t.sim in
   let traced = Trace.on tr ~cat:"aoe" in
   let start = Sim.now t.sim in
-  let tries = ref 0 in
   let p =
     { request;
       write_data;
@@ -172,7 +254,10 @@ let run_command t request write_data =
       received = 0;
       response_lba = 0;
       failed = false;
-      done_ = Signal.Latch.create () }
+      done_ = Signal.Latch.create ();
+      sends = 0;
+      sent_at = start;
+      last_rx = -1 }
   in
   Hashtbl.replace t.pending request.Aoe.tag p;
   let payload = Option.value write_data ~default:[||] in
@@ -205,26 +290,19 @@ let run_command t request write_data =
     end;
     if n > 0 then begin
       t.retransmits <- t.retransmits + 1;
-      incr tries;
+      (* Every expiry doubles the wait span for all of this client's
+         commands until a clean RTT sample arrives. *)
+      t.backoff <- min max_backoff (t.backoff + 1);
       if traced then
         Trace.instant tr ~cat:"aoe"
           ~args:[ ("tag", Trace.Int request.Aoe.tag) ]
           "retransmit"
     end;
     t.requests_sent <- t.requests_sent + 1;
+    p.sends <- n + 1;
+    p.sent_at <- Sim.now t.sim;
     t.send request payload;
-    (* Wait for completion or timeout; the timeout backs off
-       exponentially across retries so a loaded target is not buried
-       under retransmissions. *)
-    let backoff = Time.mul t.timeout (1 lsl min n 6) in
-    let deadline = Time.add (Sim.now t.sim) backoff in
-    let woke =
-      Sim.suspend (fun waker ->
-          (* Completion wake-up racing the timeout; first caller wins. *)
-          Signal.Latch.on_set p.done_ (fun () -> ignore (waker true : bool));
-          Sim.schedule t.sim deadline (fun () -> ignore (waker false : bool)))
-    in
-    if not woke && not (Signal.Latch.is_set p.done_) then attempt (n + 1)
+    if not (await t p) then attempt (n + 1)
   in
   attempt 0;
   if traced then begin
@@ -232,7 +310,7 @@ let run_command t request write_data =
       [ ("tag", Trace.Int request.Aoe.tag);
         ("lba", Trace.Int request.Aoe.lba);
         ("count", Trace.Int request.Aoe.count);
-        ("retries", Trace.Int !tries) ]
+        ("retries", Trace.Int (p.sends - 1)) ]
     in
     let args =
       (* Machine + stage tags route the span into the per-operation

@@ -6,8 +6,19 @@
     issued as commands of up to [max_read_sectors]; the target streams
     the response back as MTU-sized fragments which are reassembled by
     the tag/fragment-offset extension. Lost frames are recovered by
-    re-sending the whole command after [timeout], with exponential
-    backoff across retries (commands are idempotent). *)
+    re-sending the whole command (commands are idempotent).
+
+    {b Retransmission timer.} A command is re-sent once it has been
+    {e silent} — no response frame since its latest transmission — for
+    [RTO × backoff]. The deadline re-arms while fragments are still
+    arriving, so a long read streaming in behind a busy port never
+    counts as lost. The RTO adapts to the path (Jacobson/Karels): the
+    client keeps one smoothed RTT and RTT variance, sampled from the
+    first response frame of a command that was never retransmitted
+    (Karn's rule), and RTO = max([timeout], SRTT + 4·RTTVAR) — so
+    [timeout] is both the initial RTO and its floor. Each expiry doubles
+    the backoff for every command of the client, up to 2^6; it persists
+    across commands until the next clean sample resets it to 1. *)
 
 type t
 
@@ -23,8 +34,8 @@ val create :
   ?minor:int ->
   unit ->
   t
-(** Defaults: MTU 9000, timeout 20 ms, 1024-sector read commands,
-    10 retries, target 0.0. [owner] is the owning machine's name; when
+(** Defaults: MTU 9000, timeout (initial and minimum RTO) 20 ms,
+    1024-sector read commands, 10 retries, target 0.0. [owner] is the owning machine's name; when
     set, command spans carry ["m"]/["stage"] args so
     [Bmcast_obs.Analytics] folds them into its per-operation table. *)
 
@@ -73,6 +84,19 @@ val query_capacity : t -> int
 
 val retransmits : t -> int
 val requests_sent : t -> int
+
+val rto : t -> Bmcast_engine.Time.span
+(** Current retransmission timeout before backoff: [timeout] until the
+    first RTT sample, then max([timeout], SRTT + 4·RTTVAR). *)
+
+val backoff : t -> int
+(** Current backoff multiplier, a power of two in \[1, 64\]. *)
+
+val srtt : t -> Bmcast_engine.Time.span option
+(** Smoothed RTT, [None] before the first sample. *)
+
+val rtt_samples : t -> int
+(** Clean RTT samples taken so far (Karn's rule). *)
 
 val subscribe_mcast :
   t -> (lba:int -> count:int -> Bmcast_storage.Content.t array -> unit) -> unit

@@ -9,6 +9,8 @@ module Disk = Bmcast_storage.Disk
 module Fabric = Bmcast_net.Fabric
 module Vblade = Bmcast_proto.Vblade
 module Aoe = Bmcast_proto.Aoe
+module Aoe_client = Bmcast_proto.Aoe_client
+module Content = Bmcast_storage.Content
 module Trace = Bmcast_obs.Trace
 module Analytics = Bmcast_obs.Analytics
 module Metrics = Bmcast_obs.Metrics
@@ -156,6 +158,78 @@ let test_retransmit_fails_over () =
   check_int "failover counted" 1 (Replica_set.failovers rset);
   check_int "old drained" 0 (Replica_set.outstanding rset first);
   check_int "new charged" 1 (Replica_set.outstanding rset second)
+
+(* A client copying through a two-replica set when the replica serving
+   it dies mid-copy: the RTT estimator has settled (no backoff), so the
+   first retransmission must come within the capped span — 64 × the
+   settled RTO — of the crash, and re-route to the survivor. *)
+let test_crash_reroutes_within_capped_rto () =
+  let sim = Sim.create () in
+  let fabric = Fabric.create sim () in
+  let vblades =
+    List.init 2 (fun i ->
+        let d = Disk.create sim small_profile in
+        Disk.fill_with_image d;
+        Vblade.create sim ~fabric ~name:(Printf.sprintf "v%d" i) ~disk:d ())
+  in
+  let rset = Replica_set.create sim vblades in
+  let fabric_port = ref None in
+  let sends = ref [] in  (* (time, tag, dst), newest first *)
+  let send hdr data =
+    let dst = Replica_set.route rset hdr in
+    sends := (Sim.now sim, hdr.Aoe.tag, dst) :: !sends;
+    Aoe.send (Option.get !fabric_port) ~dst hdr data
+  in
+  let client = Aoe_client.create sim ~send () in
+  fabric_port :=
+    Some
+      (Fabric.attach fabric ~name:"client" (fun pkt ->
+           match pkt.Bmcast_net.Packet.payload with
+           | Aoe.Frame f ->
+             Replica_set.observe rset f.Aoe.hdr;
+             Aoe_client.on_frame client f
+           | _ -> ()));
+  let crash_at = Time.ms 100 in
+  let victim = List.hd vblades in
+  let settled = ref (0, 0) in
+  Sim.schedule sim crash_at (fun () ->
+      settled := (Aoe_client.rto client, Aoe_client.backoff client);
+      Vblade.crash victim);
+  let intact = ref true in
+  for s = 0 to 1 do
+    Sim.spawn_at sim Time.zero (fun () ->
+        for i = 0 to 31 do
+          let lba = ((2 * i) + s) * 1024 in
+          let data = Aoe_client.read client ~lba ~count:1024 in
+          if not
+               (Array.for_all2 Content.equal data
+                  (Content.image_sectors ~lba ~count:1024))
+          then intact := false
+        done)
+  done;
+  Sim.run sim;
+  check_bool "copy completed intact" true !intact;
+  let rto, backoff = !settled in
+  check_int "estimator settled before the crash" 1 backoff;
+  let seen = Hashtbl.create 64 in
+  let first_retx =
+    List.find_map
+      (fun (at, tag, dst) ->
+        if Hashtbl.mem seen tag then Some (at, dst)
+        else begin
+          Hashtbl.replace seen tag ();
+          None
+        end)
+      (List.rev !sends)
+  in
+  match first_retx with
+  | None -> Alcotest.fail "the crash caused no retransmission"
+  | Some (at, dst) ->
+    check_bool "retransmission follows the crash" true (at >= crash_at);
+    check_bool "within 64 x the settled RTO" true
+      (Time.diff at crash_at <= 64 * rto);
+    check_bool "re-routed to the survivor" true
+      (dst <> Vblade.port_id victim)
 
 let test_crashed_replica_excluded () =
   let sim, vblades = rig 3 in
@@ -496,6 +570,30 @@ let test_mcast_fills_and_converges () =
     (r.Scaleout.mcast_fill_bytes > 0);
   check_bool "every image converged" true (r.Scaleout.images_ok = Some true)
 
+(* A de-virtualized machine has nothing left to take from the carousel:
+   its VMM must leave the group, so the switch stops fanning frames out
+   to its parked NIC. [deploy_fleet] stops the run when the last client
+   de-virtualizes, mid-carousel; resuming it shows the server still
+   sending while per-member deliveries stay flat. *)
+let test_mcast_group_left_at_devirt () =
+  let testbed = ref None in
+  let chaos sim fabric _vblades = testbed := Some (sim, fabric) in
+  let (_ : Scaleout.result) =
+    Scaleout.deploy_fleet ~seed:7 ~image_mb:4
+      ~boot_profile:Bmcast_guest.Os.cloud_minimal ~distribution:`Mcast
+      ~mcast_passes:64 ~chaos ~machines:8 ~replicas:2 ()
+  in
+  let sim, fabric = Option.get !testbed in
+  (* The run's one group, allocated before [chaos] runs. *)
+  check_int "no members once all de-virtualized" 0
+    (Fabric.mcast_members fabric ~group:(-1));
+  let deliveries = Fabric.mcast_deliveries fabric in
+  let sent = Fabric.mcast_sent fabric in
+  Sim.run ~until:(Time.add (Sim.now sim) (Time.s 2)) sim;
+  check_bool "carousel still sending" true (Fabric.mcast_sent fabric > sent);
+  check_int "fan-out stopped growing" deliveries
+    (Fabric.mcast_deliveries fabric)
+
 (* The equivalence contract: whatever path delivered each sector —
    replica unicast, a peer's page cache, or the multicast carousel —
    every client disk must equal the golden image, so the three modes
@@ -677,6 +775,8 @@ let () =
           tc "least outstanding spreads" `Quick test_least_outstanding_spreads;
           tc "weighted rtt seeded" `Quick test_weighted_rtt_valid_and_seeded;
           tc "retransmit fails over" `Quick test_retransmit_fails_over;
+          tc "crash re-routes within 64x settled rto" `Quick
+            test_crash_reroutes_within_capped_rto;
           tc "crashed replica excluded" `Quick test_crashed_replica_excluded;
           tc "all down still routes" `Quick test_all_down_still_routes;
           tc "fragmented read completion" `Quick test_rtt_estimate_updates ] );
@@ -702,6 +802,7 @@ let () =
       ( "distribution",
         [ tc "p2p offloads and converges" `Slow test_p2p_offloads_and_converges;
           tc "mcast fills and converges" `Slow test_mcast_fills_and_converges;
+          tc "mcast group left at devirt" `Slow test_mcast_group_left_at_devirt;
           tc "cross-mode image equivalence" `Slow
             test_cross_mode_image_equivalence;
           tc "peer crash mid-serve converges" `Slow

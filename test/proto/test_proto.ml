@@ -99,16 +99,27 @@ type rig = {
   server_disk : Disk.t;
   vblade : Vblade.t;
   client : Aoe_client.t;
+  sends : (Time.t * int * int) list ref;
+      (* (time, tag, backoff multiplier) per transmission, newest first *)
 }
 
 let small = { Disk.hdd_constellation2 with Disk.capacity_sectors = 1 lsl 22 }
 
-let make_rig ?(loss = 0.0) ?(workers = 8) ?(mtu = 9000) ?timeout () =
+(* [drop n] swallows the client's [n]th transmission (0-based) before it
+   reaches the fabric: a programmable black hole in front of the
+   target. *)
+let make_rig ?(loss = 0.0) ?(workers = 8) ?(mtu = 9000) ?port_rate
+    ?ram_cache ?timeout ?(drop = fun (_ : int) -> false) () =
   let sim = Sim.create () in
-  let fab = Fabric.create sim ~mtu ~loss_rate:loss () in
+  let fab =
+    Fabric.create sim ~mtu ?port_rate_bytes_per_s:port_rate ~loss_rate:loss ()
+  in
   let server_disk = Disk.create sim small in
   Disk.fill_with_image server_disk;
-  let vblade = Vblade.create sim ~fabric:fab ~name:"vblade" ~disk:server_disk ~workers () in
+  let vblade =
+    Vblade.create sim ~fabric:fab ~name:"vblade" ~disk:server_disk ~workers
+      ?ram_cache ()
+  in
   (* Client transport: a dedicated fabric port feeding the client. *)
   let client_ref = ref None in
   let port =
@@ -117,10 +128,16 @@ let make_rig ?(loss = 0.0) ?(workers = 8) ?(mtu = 9000) ?timeout () =
         | Aoe.Frame f -> Option.iter (fun c -> Aoe_client.on_frame c f) !client_ref
         | _ -> ())
   in
-  let send hdr data = Aoe.send port ~dst:(Vblade.port_id vblade) hdr data in
+  let sends = ref [] in
+  let send hdr data =
+    let n = List.length !sends in
+    let backoff = Aoe_client.backoff (Option.get !client_ref) in
+    sends := (Sim.now sim, hdr.Aoe.tag, backoff) :: !sends;
+    if not (drop n) then Aoe.send port ~dst:(Vblade.port_id vblade) hdr data
+  in
   let client = Aoe_client.create sim ~send ~mtu ?timeout () in
   client_ref := Some client;
-  { sim; fab; server_disk; vblade; client }
+  { sim; fab; server_disk; vblade; client; sends }
 
 let run_in rig f =
   let out = ref None in
@@ -290,6 +307,162 @@ let test_vblade_thread_pool_throughput () =
        (single /. 1e6))
     true
     (pooled > single *. 1.15)
+
+(* --- retransmission timer (RTT-adaptive RTO, Karn's rule) --- *)
+
+let fast_ethernet = 100e6 /. 8.0
+
+(* [streams] concurrent processes, each reading [reads] consecutive
+   1,024-sector (512 KB) commands; returns whether every sector came
+   back right. *)
+let parallel_reads rig ~streams ~reads =
+  let ok = ref true in
+  for s = 0 to streams - 1 do
+    Sim.spawn_at rig.sim Time.zero (fun () ->
+        for i = 0 to reads - 1 do
+          let lba = ((s * reads) + i) * 1024 in
+          let data = Aoe_client.read rig.client ~lba ~count:1024 in
+          if not
+               (Array.for_all2 Content.equal data
+                  (Content.image_sectors ~lba ~count:1024))
+          then ok := false
+        done)
+  done;
+  Sim.run rig.sim;
+  !ok
+
+let test_rtx_no_spurious_on_busy_port () =
+  (* A background copy's pattern against a disk-backed vblade on
+     100 Mb/s ports: back-to-back 512 KB reads, each ~42 ms of
+     serialization — twice the 20 ms initial RTO — with the response
+     fragments queued behind one another on the target's port. None of
+     it is loss, so nothing may be retransmitted (the fixed 20 ms timer
+     re-sent every command). *)
+  let rig = make_rig ~port_rate:fast_ethernet () in
+  check_bool "data intact" true (parallel_reads rig ~streams:1 ~reads:16);
+  check_int "no retransmits" 0 (Aoe_client.retransmits rig.client);
+  check_int "one send per command" 16 (Aoe_client.requests_sent rig.client);
+  check_int "every command sampled" 16 (Aoe_client.rtt_samples rig.client)
+
+let test_rtx_deadline_rearms_while_streaming () =
+  (* One 512 KB read on a 100 Mb/s port outlasts the 20 ms RTO by a
+     factor of two, yet fragments arrive every ~0.7 ms: the deadline
+     measures silence, not total command time. *)
+  let rig = make_rig ~ram_cache:true ~port_rate:fast_ethernet () in
+  let took =
+    let out = ref 0 in
+    Sim.spawn_at rig.sim Time.zero (fun () ->
+        ignore (Aoe_client.read rig.client ~lba:0 ~count:1024 : Content.t array);
+        out := Sim.clock ());
+    Sim.run rig.sim;
+    !out
+  in
+  check_bool "command outlived the RTO" true
+    (took > 2 * Aoe_client.rto rig.client);
+  check_int "no retransmits" 0 (Aoe_client.retransmits rig.client)
+
+let rtx_read rig ~lba =
+  ignore (Aoe_client.read rig.client ~lba ~count:8 : Content.t array)
+
+let test_rtx_karn_rule () =
+  (* The first transmission of the first command vanishes: the answer
+     to its retransmission is ambiguous and must not be sampled. The
+     next, clean command is. *)
+  let rig = make_rig ~ram_cache:true ~drop:(fun n -> n = 0) () in
+  let samples_after_first = ref (-1) in
+  Sim.spawn_at rig.sim Time.zero (fun () ->
+      rtx_read rig ~lba:0;
+      samples_after_first := Aoe_client.rtt_samples rig.client;
+      rtx_read rig ~lba:8);
+  Sim.run rig.sim;
+  check_int "retransmitted once" 1 (Aoe_client.retransmits rig.client);
+  check_int "retransmitted command not sampled" 0 !samples_after_first;
+  check_int "clean command sampled" 1 (Aoe_client.rtt_samples rig.client)
+
+let test_rtx_backoff_persists_and_resets () =
+  (* Command A loses its first 8 transmissions: the gaps between them
+     double from the 20 ms RTO and cap at 64x. Command B starts at that
+     cap and loses its first transmission — it waits the full capped
+     span, because backoff persists until a clean sample. A's and B's
+     answers are both ambiguous (Karn), so only clean command C resets
+     the backoff. *)
+  let rto = Time.ms 20 in
+  let rig =
+    make_rig ~ram_cache:true ~timeout:rto ~drop:(fun n -> n < 8 || n = 9) ()
+  in
+  let backoff_before_c = ref 0 in
+  Sim.spawn_at rig.sim Time.zero (fun () ->
+      rtx_read rig ~lba:0;
+      rtx_read rig ~lba:8;
+      backoff_before_c := Aoe_client.backoff rig.client;
+      rtx_read rig ~lba:16);
+  Sim.run rig.sim;
+  let sends = Array.of_list (List.rev !(rig.sends)) in
+  check_int "transmissions" 12 (Array.length sends);
+  let at i = let t, _, _ = sends.(i) in t in
+  let tag i = let _, g, _ = sends.(i) in g in
+  let mult i = let _, _, b = sends.(i) in b in
+  (* A: sends 0..8; each of the first eight expires after the span its
+     backoff multiplier sets. *)
+  List.iteri
+    (fun i m ->
+      check_int (Printf.sprintf "A backoff at send %d" i) m (mult i);
+      check_int (Printf.sprintf "A gap after send %d" i) (m * rto)
+        (at (i + 1) - at i))
+    [ 1; 2; 4; 8; 16; 32; 64; 64 ];
+  check_int "A capped" 64 (mult 8);
+  (* B: sends 9 (lost) and 10; C: send 11. *)
+  check_bool "B is a new command" true (tag 9 <> tag 8);
+  check_int "B starts at the persisted cap" 64 (mult 9);
+  check_int "B waits the capped span" (64 * rto) (at 10 - at 9);
+  check_int "ambiguous answers keep the backoff" 64 !backoff_before_c;
+  check_int "clean sample resets the backoff" 1 (Aoe_client.backoff rig.client);
+  check_int "only C was sampled" 1 (Aoe_client.rtt_samples rig.client)
+
+let test_rtx_rto_floor () =
+  (* Sub-millisecond RAM-cached reads settle SRTT far below the 20 ms
+     timeout; the RTO must stay clamped at it. *)
+  let timeout = Time.ms 20 in
+  let rig = make_rig ~ram_cache:true ~timeout () in
+  Sim.spawn_at rig.sim Time.zero (fun () ->
+      for i = 0 to 49 do
+        ignore (Aoe_client.read rig.client ~lba:(i * 8) ~count:8 : Content.t array)
+      done);
+  Sim.run rig.sim;
+  check_int "every command sampled" 50 (Aoe_client.rtt_samples rig.client);
+  (match Aoe_client.srtt rig.client with
+  | None -> Alcotest.fail "no RTT estimate"
+  | Some s -> check_bool "SRTT well below the floor" true (4 * s < timeout));
+  check_int "RTO clamped to timeout" timeout (Aoe_client.rto rig.client);
+  check_int "no backoff" 1 (Aoe_client.backoff rig.client)
+
+let test_rtx_rto_adapts_up () =
+  (* A 1 ms floor under disk-backed reads (milliseconds of seek): the
+     RTO rises above the floor to cover the path. *)
+  let timeout = Time.ms 1 in
+  let rig = make_rig ~timeout () in
+  Sim.spawn_at rig.sim Time.zero (fun () ->
+      for i = 0 to 19 do
+        ignore
+          (Aoe_client.read rig.client ~lba:(i * 100_000) ~count:64
+            : Content.t array)
+      done);
+  Sim.run rig.sim;
+  check_bool "RTO above the floor" true (Aoe_client.rto rig.client > timeout);
+  check_bool "RTO covers SRTT" true
+    (match Aoe_client.srtt rig.client with
+    | Some s -> Aoe_client.rto rig.client > s
+    | None -> false)
+
+let test_rtx_uniform_loss_completes () =
+  (* 1% uniform frame loss at 100 Mb/s: lost fragments leave a gap of
+     silence, the command is re-sent, and every read completes with
+     the right data. *)
+  let rig = make_rig ~ram_cache:true ~loss:0.01 ~port_rate:fast_ethernet () in
+  check_bool "data intact" true (parallel_reads rig ~streams:4 ~reads:8);
+  check_bool "losses recovered by retransmission" true
+    (Aoe_client.retransmits rig.client > 0);
+  check_int "nothing pending" 0 (Aoe_client.pending_count rig.client)
 
 (* --- Remote_block --- *)
 
@@ -603,6 +776,17 @@ let () =
           tc "jumbo vs standard" `Quick test_jumbo_vs_standard_frames ] );
       ( "vblade",
         [ tc "thread pool throughput" `Quick test_vblade_thread_pool_throughput ] );
+      ( "retransmit",
+        [ tc "no spurious rtx on a busy port" `Quick
+            test_rtx_no_spurious_on_busy_port;
+          tc "deadline re-arms while streaming" `Quick
+            test_rtx_deadline_rearms_while_streaming;
+          tc "karn rule" `Quick test_rtx_karn_rule;
+          tc "backoff caps, persists, resets" `Quick
+            test_rtx_backoff_persists_and_resets;
+          tc "rto never below timeout" `Quick test_rtx_rto_floor;
+          tc "rto adapts above the floor" `Quick test_rtx_rto_adapts_up;
+          tc "uniform 1% loss completes" `Quick test_rtx_uniform_loss_completes ] );
       ( "gossip",
         [ QCheck_alcotest.to_alcotest prop_gossip_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_gossip_runs_canonical;
