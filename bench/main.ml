@@ -1,102 +1,13 @@
 (* Benchmark harness: regenerates every figure of the paper's evaluation
    (Figures 4-14), the design-choice ablations, the multi-instance
-   scale-up study, and Bechamel micro-benchmarks of the simulator's hot
-   paths.
+   scale-up study and the fleet scale-out sweeps. Host cost of the
+   simulator itself is measured by perfbench, not here.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig4 fig10
-     dune exec bench/main.exe -- micro *)
+     dune exec bench/main.exe -- --fleet *)
 
 open Bmcast_experiments
-
-(* --- Bechamel micro-benchmarks of simulator hot paths --- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let heap_churn =
-    let h = Bmcast_engine.Heap.create () in
-    let prng = Bmcast_engine.Prng.create 7 in
-    Test.make ~name:"heap push+pop"
-      (Staged.stage (fun () ->
-           Bmcast_engine.Heap.push h (Bmcast_engine.Prng.int prng 1_000_000) ();
-           ignore (Bmcast_engine.Heap.pop h)))
-  in
-  let bitmap_fill =
-    let bm = Bmcast_core.Bitmap.create ~sectors:(1 lsl 20) in
-    let pos = ref 0 in
-    Test.make ~name:"bitmap fill_range(64)"
-      (Staged.stage (fun () ->
-           ignore
-             (Bmcast_core.Bitmap.fill_range bm ~lba:!pos ~count:64 : int);
-           pos := (!pos + 64) land ((1 lsl 20) - 65)))
-  in
-  let bitmap_scan =
-    let bm = Bmcast_core.Bitmap.create ~sectors:(1 lsl 20) in
-    ignore (Bmcast_core.Bitmap.fill_range bm ~lba:0 ~count:((1 lsl 20) - 1) : int);
-    Test.make ~name:"bitmap find_empty_run (worst case)"
-      (Staged.stage (fun () ->
-           ignore
-             (Bmcast_core.Bitmap.find_empty_run bm ~from:0 ~max:2048
-               : (int * int) option)))
-  in
-  let extent_set =
-    let m = Bmcast_storage.Extent_map.create () in
-    let prng = Bmcast_engine.Prng.create 9 in
-    Test.make ~name:"extent_map set"
-      (Staged.stage (fun () ->
-           Bmcast_storage.Extent_map.set m
-             ~lba:(Bmcast_engine.Prng.int prng 1_000_000)
-             ~count:64
-             (Bmcast_engine.Prng.int prng 4)))
-  in
-  let aoe_codec =
-    let hdr =
-      { Bmcast_proto.Aoe.major = 1;
-        minor = 2;
-        command = Bmcast_proto.Aoe.Ata_read;
-        tag = 12345;
-        frag = 3;
-        is_response = true;
-        error = false;
-        lba = 987654321;
-        count = 17 }
-    in
-    Test.make ~name:"aoe encode+decode"
-      (Staged.stage (fun () ->
-           ignore
-             (Bmcast_proto.Aoe.decode_header
-                (Bmcast_proto.Aoe.encode_header hdr)
-               : Bmcast_proto.Aoe.header)))
-  in
-  let prng_draw =
-    let prng = Bmcast_engine.Prng.create 3 in
-    Test.make ~name:"prng zipf"
-      (Staged.stage (fun () ->
-           ignore (Bmcast_engine.Prng.zipf prng ~n:10_000 ~theta:0.99 : int)))
-  in
-  [ heap_churn; bitmap_fill; bitmap_scan; extent_set; aoe_codec; prng_draw ]
-
-let run_micro () =
-  let open Bechamel in
-  Report.section "Micro-benchmarks (Bechamel, ns per run)";
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (t :: _) -> Report.row ~label:name ~units:"ns/run" t
-          | Some [] | None -> Report.note "%s: no estimate" name)
-        analyzed)
-    (micro_tests ())
 
 (* --- experiment registry --- *)
 
@@ -140,7 +51,10 @@ let experiments ~metrics_dir =
         (* The crossover curve also lands in its own snapshot so CI can
            upload it as a standalone artifact. *)
         let crossover =
-          Scaleout.run_crossover ~metrics_out:"BENCH_crossover.json" ()
+          Scaleout.run_crossover
+            ~metrics_out:
+              (Option.value (out "crossover") ~default:"BENCH_crossover.json")
+            ()
         in
         Scaleout.write_metrics metrics_out (std @ scale @ crossover);
         Report.note "wrote %s" metrics_out );
@@ -151,24 +65,16 @@ let experiments ~metrics_dir =
         ignore
           (Scaleout.run_scale ~client_counts:[ 10_000 ] ~replicas:64
              ?metrics_out:(out "fleet10k") ()
-            : Scaleout.result list) );
-    ( "engine",
-      fun () ->
-        let out =
-          Option.value (out "engine") ~default:"BENCH_engine.json"
-        in
-        Engine_bench.run ~out () );
-    ("micro", run_micro) ]
+            : Scaleout.result list) ) ]
 
 (* "all" runs the fig12/fig13 pair once. *)
 let all_keys =
   [ "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
-    "fig12"; "fig14"; "ablations"; "scaleup"; "micro" ]
+    "fig12"; "fig14"; "ablations"; "scaleup" ]
 
 (* "quick": the sub-minute figures, with fig4 on a smaller image. *)
 let quick_keys =
-  [ "fig4-quick"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12";
-    "micro" ]
+  [ "fig4-quick"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12" ]
 
 let run_named experiments name =
   match List.assoc_opt name experiments with
@@ -179,28 +85,23 @@ let run_named experiments name =
     Printf.eprintf "unknown experiment %S\n" name;
     false
 
-let main metrics_dir fleet engine check names =
-  match check with
-  | Some committed ->
-    (* bench --engine --check FILE: regression gate for CI. *)
-    if Engine_bench.check ~committed () then 0 else 1
-  | None ->
-    let experiments = experiments ~metrics_dir in
-    let names =
-      match (names, fleet || engine) with
-      | [], true -> []  (* bench --fleet/--engine: just those sweeps *)
-      | ([] | [ "all" ]), _ -> all_keys
-      | [ "quick" ], _ -> quick_keys
-      | names, _ -> names
-    in
-    let append key wanted names =
-      if wanted && not (List.mem key names) then names @ [ key ] else names
-    in
-    let names = names |> append "fleet" fleet |> append "engine" engine in
-    Printf.printf
-      "BMcast evaluation harness - regenerating %d experiment group(s)\n%!"
-      (List.length names);
-    if List.for_all (run_named experiments) names then 0 else 1
+let main metrics_dir fleet names =
+  let experiments = experiments ~metrics_dir in
+  let names =
+    match (names, fleet) with
+    | [], true -> []  (* bench --fleet: just that sweep *)
+    | ([] | [ "all" ]), _ -> all_keys
+    | [ "quick" ], _ -> quick_keys
+    | names, _ -> names
+  in
+  let names =
+    if fleet && not (List.mem "fleet" names) then names @ [ "fleet" ]
+    else names
+  in
+  Printf.printf
+    "BMcast evaluation harness - regenerating %d experiment group(s)\n%!"
+    (List.length names);
+  if List.for_all (run_named experiments) names then 0 else 1
 
 let () =
   let open Cmdliner in
@@ -224,34 +125,13 @@ let () =
              BENCH_fleet.json. Alone it runs just the sweep; with \
              experiment names it is appended to them.")
   in
-  let engine =
-    Arg.(
-      value & flag
-      & info [ "engine" ]
-          ~doc:
-            "Run the engine hot-path benchmark (heap vs timer-wheel \
-             churn, full-simulation events/sec and allocations per \
-             event) and write BENCH_engine.json. Alone it runs just the \
-             benchmark; with experiment names it is appended to them.")
-  in
-  let check =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "check" ] ~docv:"BASELINE"
-          ~doc:
-            "Re-measure the engine benchmark, write \
-             BENCH_engine.fresh.json, and exit non-zero if wheel or \
-             full-simulation events/sec fall below 75% of the committed \
-             $(docv). Overrides every other argument.")
-  in
   let doc =
     "Regenerate the BMcast paper's tables and figures (fig4-fig14, \
-     ablations, scaleup, fleet, micro, or the 'quick' subset; default: all)"
+     ablations, scaleup, fleet, or the 'quick' subset; default: all)"
   in
   let cmd =
     Cmd.v
       (Cmd.info "bmcast-bench" ~doc)
-      Term.(const main $ metrics_dir $ fleet $ engine $ check $ names)
+      Term.(const main $ metrics_dir $ fleet $ names)
   in
   exit (Cmd.eval' cmd)

@@ -64,17 +64,16 @@ type result = {
   sim_events : int;
   analytics : Analytics.t;
   alert_count : int;
-  timeline : string;
   watch : string;
   images_ok : bool option;
   image_digest : string option;
 }
 
 (* Per-machine series ([|m=...] labels) grow with fleet size; the
-   bench-embedded timeline keeps fleet-level keys plus the small
-   per-replica health series so its size is bounded by the replica
-   count, not the client count. *)
-let bench_ts_filter k =
+   default sampler, which feeds the watchdog, keeps fleet-level keys
+   plus the small per-replica health series so its memory is bounded
+   by the replica count, not the client count. *)
+let fleet_ts_filter k =
   match String.index_opt k '|' with
   | None -> true
   | Some i ->
@@ -113,8 +112,8 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
       Trace.create ~capacity:((machines * 6) + 64) ~categories:[ "boot" ] ()
   in
   (* Fleet runs always carry telemetry: a live registry, a sampler over
-     it (bench-filtered unless the caller brings one) and a watchdog, so
-     every deployment's timeline and alert record lands in [result]. *)
+     it (filtered unless the caller brings one) and a watchdog, so every
+     deployment's alert record lands in [result]. *)
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   (* When the caller supplies BOTH the sampler and the watchdog they own
      the wiring (subscriber order matters for dashboards); otherwise we
@@ -123,7 +122,7 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
   let timeseries =
     match timeseries with
     | Some ts -> ts
-    | None -> Bmcast_obs.Timeseries.create ~filter:bench_ts_filter metrics
+    | None -> Bmcast_obs.Timeseries.create ~filter:fleet_ts_filter metrics
   in
   let watchdog =
     match watchdog with
@@ -366,7 +365,6 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
     sim_events = Sim.events_executed sim;
     analytics = Analytics.of_trace ~slo_s trace;
     alert_count = Bmcast_obs.Watchdog.alert_count watchdog;
-    timeline = Bmcast_obs.Timeseries.timeline_json ~max_points:60 timeseries;
     watch = Bmcast_obs.Watchdog.alerts_json watchdog;
     images_ok;
     image_digest }
@@ -390,7 +388,6 @@ let result_json r =
      "sim_events":%d,
      "images_ok":%s,"image_digest":%s,
      "boot":%s,
-     "timeline":%s,
      "watch":%s}|}
     r.machines r.replicas r.image_mb r.policy r.sched r.distribution
     (summary_json r.ttfb) (summary_json r.ttdv) r.failovers r.peak_queue
@@ -408,7 +405,7 @@ let result_json r =
     | None -> "null"
     | Some d -> Printf.sprintf "%S" d)
     (Analytics.to_json r.analytics)
-    r.timeline r.watch
+    r.watch
 
 let write_metrics path results =
   let oc = open_out path in

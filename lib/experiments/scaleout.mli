@@ -66,10 +66,6 @@ type result = {
       (** boot-stage breakdown, critical-path attribution and SLO
           evaluation folded from the run's boot-pipeline spans *)
   alert_count : int;  (** watchdog alerts fired during the run *)
-  timeline : string;
-      (** {!Bmcast_obs.Timeseries.timeline_json} of the run's sampler —
-          fleet-level series (plus per-replica health) over virtual
-          time, embedded verbatim in [BENCH_fleet.json] *)
   watch : string;
       (** {!Bmcast_obs.Watchdog.alerts_json}: alerts and
           fault→alert detection latencies *)
@@ -129,7 +125,7 @@ val deploy_fleet :
     spans ride along in it. Every run carries live telemetry: a
     {!Bmcast_obs.Metrics} registry (fresh unless [metrics] is given), a
     {!Bmcast_obs.Timeseries} sampler over it (default: 1 s virtual
-    interval, bench-filtered to fleet-level plus per-replica series)
+    interval, filtered to fleet-level plus per-replica series)
     and a {!Bmcast_obs.Watchdog} (default rule:
     [server-down: vblade.up < 0.5]). deploy_fleet attaches the watchdog
     to the sampler unless the caller supplied {e both} — then the

@@ -373,50 +373,6 @@ let to_openmetrics t =
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
 
-(* Compact timeline for embedding in benchmark JSON: per key, the
-   finest tier that still covers the whole run (nothing evicted) within
-   [max_points] buckets — mean values as [[t_ns, v], ...]. *)
-let timeline_json ?(max_points = 120) t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"interval_ns\":%d,\"sweeps\":%d,\"series\":{"
-       t.interval_ns t.sweeps);
-  let first = ref true in
-  Array.iter
-    (fun s ->
-      let pick =
-        let rec go k =
-          if k >= t.ntiers - 1 then t.ntiers - 1
-          else if s.tiers.(k).evicted = 0 && s.tiers.(k).len <= max_points then
-            k
-          else go (k + 1)
-        in
-        go 0
-      in
-      let tier = s.tiers.(pick) in
-      if tier.len > 0 then begin
-        if not !first then Buffer.add_char b ',';
-        first := false;
-        Buffer.add_string b "\n";
-        Metrics.buf_add_json_string b s.skey;
-        Buffer.add_string b (Printf.sprintf ":{\"tier\":%d,\"points\":[" pick);
-        let fst_pt = ref true in
-        iter_tier
-          (fun bk ->
-            if not !fst_pt then Buffer.add_char b ',';
-            fst_pt := false;
-            Buffer.add_char b '[';
-            Buffer.add_string b (string_of_int bk.bt);
-            Buffer.add_char b ',';
-            Metrics.buf_add_float b (bk.sum /. float_of_int bk.n);
-            Buffer.add_char b ']')
-          tier;
-        Buffer.add_string b "]}"
-      end)
-    (sorted_series t);
-  Buffer.add_string b "\n}}";
-  Buffer.contents b
-
 let write_csv t path =
   let oc = open_out_bin path in
   Fun.protect

@@ -104,12 +104,6 @@ val to_openmetrics : t -> string
     labels recovered from [|k=v] key suffixes, timestamps in seconds,
     terminated by [# EOF]. *)
 
-val timeline_json : ?max_points:int -> t -> string
-(** Compact JSON object for embedding in benchmark files:
-    [{"interval_ns":..,"sweeps":..,"series":{key:{"tier":k,"points":
-    [[t_ns,mean],..]},..}}]. Per key, uses the finest tier that still
-    covers the whole run within [max_points] (default 120) buckets. *)
-
 val write_csv : t -> string -> unit
 val write_openmetrics : t -> string -> unit
 
