@@ -488,11 +488,11 @@ let render_frame ~metrics ~timeseries ~watchdog ~filtered ~now =
         (Watchdog.alert_count watchdog));
   Logs.app (fun m ->
       m
-        "   stages: vmm_init %.0f  discover %.0f  copy %.0f  devirt %.0f  \
-         done %.0f | queue %.0f  in-service %.0f"
-        (stage "vmm_init") (stage "discover") (stage "copy") (stage "devirt")
+        "   stages: vmm_init %.0f  queue %.0f  discover %.0f  copy %.0f  \
+         devirt %.0f  done %.0f | in-service %.0f"
+        (stage "vmm_init") (stage "queue") (stage "discover") (stage "copy")
+        (stage "devirt")
         (scalar_value metrics "fleet.devirtualized")
-        (scalar_value metrics "fleet.sched.queue_depth")
         (scalar_value metrics "fleet.sched.in_service"));
   List.iter
     (fun key ->
@@ -843,7 +843,9 @@ let () =
       Arg.(
         value & opt int 4
         & info [ "limit-per-server" ] ~docv:"N"
-            ~doc:"admission limit: concurrent deployments per storage server")
+            ~doc:
+              "admission limit: deployments using the storage tier at \
+               once, per storage server")
     in
     Cmd.v
       (Cmd.info "fleet"
@@ -871,7 +873,9 @@ let () =
       Arg.(
         value & opt int 4
         & info [ "limit-per-server" ] ~docv:"N"
-            ~doc:"admission limit: concurrent deployments per storage server")
+            ~doc:
+              "admission limit: deployments using the storage tier at \
+               once, per storage server")
     in
     let interval_ms =
       Arg.(

@@ -84,18 +84,13 @@ let log_event t what =
 let stage_gauge m stage =
   Metrics.gauge m ~labels:[ ("stage", stage) ] "fleet.stage"
 
-let stage_next = function
-  | "vmm_init" -> Some "discover"
-  | "discover" -> Some "copy"
-  | "copy" -> Some "devirt"
-  | _ -> None
-
 (* Stage-occupancy accounting rides the same transition points as the
-   spans: ending stage S moves the machine into the next stage's gauge
+   spans: ending [stage] moves the machine into the [next] stage's gauge
    (occupancy is how many machines currently sit in each stage), and
-   ending "devirt" counts the machine as fully provisioned. [boot]
-   seeds the pipeline by bumping the "vmm_init" gauge. *)
-let stage_span sim ~machine stage ~ts =
+   ending "devirt" ([next = None]) counts the machine as fully
+   provisioned. [boot] seeds the pipeline by bumping the "vmm_init"
+   gauge. *)
+let stage_span sim ~machine stage ~ts ~next =
   let tr = Sim.trace sim in
   if Trace.on tr ~cat:"boot" then
     Trace.complete tr ~cat:"boot"
@@ -104,7 +99,7 @@ let stage_span sim ~machine stage ~ts =
   let m = Sim.metrics sim in
   if Metrics.enabled m then begin
     Metrics.incr ~by:(-1.0) (stage_gauge m stage);
-    match stage_next stage with
+    match next with
     | Some next -> Metrics.incr (stage_gauge m next)
     | None -> Metrics.incr (Metrics.counter m "fleet.devirtualized")
   end
@@ -236,7 +231,7 @@ let devirtualize t =
    if Trace.on tr ~cat:"vmm" then
      Trace.complete tr ~cat:"vmm" "devirtualize" ~ts:devirt_started);
   stage_span t.machine.Machine.sim ~machine:t.machine "devirt"
-    ~ts:devirt_started;
+    ~ts:devirt_started ~next:None;
   Signal.Latch.set t.devirt_done
 
 (* The bitmap is persisted just past the image, in space no partition
@@ -245,8 +240,7 @@ let save_region t =
   ( t.params.Params.image_sectors,
     Bitmap.save_sectors ~sectors:t.params.Params.image_sectors )
 
-let deployment t =
-  let discover_started = Sim.now t.machine.Machine.sim in
+let deployment t ~discover_started =
   (* Discover the target and sanity-check the image fits (AoE
      Query-Config). *)
   let capacity = Aoe_client.query_capacity t.aoe in
@@ -294,7 +288,7 @@ let deployment t =
       guest_last_lba = (fun () -> med_guest_last_lba t) }
   in
   stage_span t.machine.Machine.sim ~machine:t.machine "discover"
-    ~ts:discover_started;
+    ~ts:discover_started ~next:(Some "copy");
   log_event t "deployment phase: background copy started";
   let copy_started = Sim.now t.machine.Machine.sim in
   let bg =
@@ -304,20 +298,34 @@ let deployment t =
   t.background <- Some bg;
   Background_copy.wait_complete bg;
   log_event t "image fully deployed";
-  stage_span t.machine.Machine.sim ~machine:t.machine "copy" ~ts:copy_started;
+  stage_span t.machine.Machine.sim ~machine:t.machine "copy" ~ts:copy_started
+    ~next:(Some "devirt");
   Signal.Latch.set t.deployed;
   devirtualize t
 
 let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
     ?(release_memory = false) ?(hide_mgmt_nic = false) ?(nic = `Mgmt)
-    ?(boot_prefetch = []) ?(resume = false) ?(vmxoff = `Resident) () =
-  let boot_started = Sim.now machine.Machine.sim in
-  stage_enter machine.Machine.sim "vmm_init";
+    ?(boot_prefetch = []) ?(resume = false) ?(vmxoff = `Resident) ?admit () =
+  let sim = machine.Machine.sim in
+  let boot_started = Sim.now sim in
+  stage_enter sim "vmm_init";
   (* PXE-load the VMM over the management NIC, then initialize. *)
   Firmware.pxe_load machine.Machine.firmware ~bytes_len:vmm_image_bytes;
   Sim.sleep params.Params.vmm_boot_time;
   Memmap.reserve_vmm machine.Machine.memmap ~size:params.Params.vmm_mem_bytes
   |> ignore;
+  (* The admission gate: nothing above touches the storage tier, so a
+     fleet scheduler holds the machine here, initialized, until it may
+     use the tier. The wait is the "queue" stage. *)
+  let gate = Sim.now sim in
+  (match admit with
+  | None ->
+    stage_span sim ~machine "vmm_init" ~ts:boot_started ~next:(Some "discover")
+  | Some admit ->
+    stage_span sim ~machine "vmm_init" ~ts:boot_started ~next:(Some "queue");
+    admit ();
+    stage_span sim ~machine "queue" ~ts:gate ~next:(Some "discover"));
+  let discover_started = Sim.now sim in
   let bitmap = Bitmap.create ~sectors:params.Params.image_sectors in
   (* Wire the AoE initiator through a NIC transport: a polling driver on
      a NIC the VMM owns, or the shadow-ring mediator when sharing the
@@ -490,8 +498,8 @@ let boot machine ~params ~server_port ?route ?on_aoe_response ?mcast_group
             end
             else if Background_copy.is_paused bg then
               Background_copy.resume bg));
-  stage_span machine.Machine.sim ~machine "vmm_init" ~ts:boot_started;
-  Sim.spawn ~name:"bmcast-deployment" (fun () -> deployment t);
+  Sim.spawn ~name:"bmcast-deployment" (fun () ->
+      deployment t ~discover_started);
   t
 
 (* 3.3: "In case of shutdown and reboot, the VMM saves the bitmap on

@@ -33,10 +33,16 @@ val boot :
   ?boot_prefetch:(int * int) list ->
   ?resume:bool ->
   ?vmxoff:[ `Resident | `Guest_module ] ->
+  ?admit:(unit -> unit) ->
   unit ->
   t
 (** Perform the timed VMM boot (process context): PXE load + VMM init,
-    then deployment begins. [server_port] is the AoE target's fabric
+    then deployment begins. [admit], when given, is the admission gate:
+    it is called once, after VMM initialization and before the NIC
+    driver, the AoE initiator or target discovery touches the fabric,
+    and may block (a {!Bmcast_fleet.Scheduler} lease). The wait is
+    traced as the boot pipeline's "queue" stage, between "vmm_init" and
+    "discover". [server_port] is the AoE target's fabric
     port. [route], when given, overrides the destination per request
     {e send} (it is consulted again on every retransmission) — the hook
     a {!Bmcast_fleet.Replica_set} uses to fan copy-on-read and

@@ -52,6 +52,7 @@ type result = {
   failovers : int;
   peak_queue : int;
   peak_in_service : int;
+  peak_per_server : int array;
   admitted_per_server : int array;
   server_bytes : int;
   p2p_routed : int;
@@ -232,7 +233,7 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
         List.mapi
           (fun idx m ->
             ( m.Machine.name,
-              fun (_server : int) ->
+              fun ~admit ->
                 let rset = Replica_set.create sim ~policy vblades in
                 rsets := rset :: !rsets;
                 (* In P2P mode the machine is both a peer (serving chunks
@@ -272,7 +273,7 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
                 let vmm =
                   Vmm.boot m ~params
                     ~server_port:(Replica_set.port_of rset 0)
-                    ~route ~on_aoe_response:observe ?mcast_group ()
+                    ~route ~on_aoe_response:observe ?mcast_group ~admit ()
                 in
                 bm := Some (Vmm.bitmap vmm);
                 let blk = Block_io.attach m in
@@ -348,6 +349,7 @@ let deploy_fleet ?(seed = 42) ?(image_mb = 256)
     failovers = List.fold_left (fun a r -> a + Replica_set.failovers r) 0 !rsets;
     peak_queue = Scheduler.peak_queue scheduler;
     peak_in_service = Scheduler.peak_in_service scheduler;
+    peak_per_server = Scheduler.peak_per_server scheduler;
     admitted_per_server = Scheduler.admitted_per_server scheduler;
     server_bytes =
       List.fold_left (fun a v -> a + Vblade.bytes_served v) 0 vblades;

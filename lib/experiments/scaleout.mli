@@ -47,7 +47,13 @@ type result = {
   ttdv : summary;  (** time-to-devirt, seconds since fleet start *)
   failovers : int;
   peak_queue : int;
+      (** most machines waiting at the admission gate at once: VMMs
+          initialized and waiting for their first storage-tier access *)
   peak_in_service : int;
+      (** most machines admitted at once (gate to time-to-devirt) *)
+  peak_per_server : int array;
+      (** per server, most machines admitted against it at once; never
+          above [limit_per_server] *)
   admitted_per_server : int array;
   server_bytes : int;  (** aggregate bytes served by the storage tier *)
   p2p_routed : int;  (** commands first routed to a peer (P2P mode) *)
@@ -117,8 +123,16 @@ val deploy_fleet :
     after fleet start (a crash with no restart leaves the tier degraded
     for good — deployments must converge on the survivors). Defaults:
     seed 42, 256 MB image, least-outstanding routing, all-at-once
-    admission, 4 deployments per server, RAM-cached servers,
+    release, 4 deployments in service per server, RAM-cached servers,
     [Os.default_profile] guests ([boot_profile] overrides).
+
+    Admission. Every machine powers on under [sched], PXE-loads and
+    initializes its VMM, and then waits at [Vmm.boot]'s admission gate
+    for a {!Bmcast_fleet.Scheduler} lease, which it holds until it has
+    de-virtualized. [limit_per_server] therefore bounds the machines
+    in service against a server: those using the storage tier, not
+    those still in PXE or VMM init. The wait is the boot pipeline's
+    "queue" stage, between "vmm_init" and "discover".
 
     Without a caller [trace], a small boot-category-only tracer is
     attached so [analytics] is always populated; with one, the boot
@@ -185,8 +199,8 @@ val run_crossover :
     fleet size (default {25, 100, 250, 1000}) deploy a 64 MB image
     with replica fan-out (4 replicas), P2P (2 replicas + swarm) and
     multicast (2 replicas + carousel) under constrained uplinks
-    (default 100 Mb/s) and identical admitted concurrency (16 boots in
-    flight), and report the client count where each alternative starts
+    (default 100 Mb/s) and identical admitted concurrency (16 boots
+    using the tier at once), and report the client count where each alternative starts
     beating replica fan-out on p50 time-to-devirt. The image is big
     enough that the pipelined background copy — the part peer serving
     and the carousel can actually accelerate — dominates each boot. *)

@@ -31,14 +31,15 @@ let wave_policy_of_string = function
 
 type job_stat = {
   name : string;
-  server : int;
-  submitted : Time.t;
-  started : Time.t;
+  server : int option;
+  released : Time.t;
+  queued : Time.t;
+  admitted : Time.t;
   finished : Time.t;
 }
 
-let queue_delay_s s = Time.to_float_s (Time.diff s.started s.submitted)
-let service_s s = Time.to_float_s (Time.diff s.finished s.started)
+let queue_delay_s s = Time.to_float_s (Time.diff s.admitted s.queued)
+let service_s s = Time.to_float_s (Time.diff s.finished s.admitted)
 
 type t = {
   sim : Sim.t;
@@ -47,11 +48,12 @@ type t = {
   policy : wave_policy;
   slots : Semaphore.t;  (* pool-wide capacity *)
   load : int array;  (* in-service leases per server *)
+  peak_load : int array;  (* high-water mark of [load] *)
   mutable waiting : int;
   mutable in_service : int;
   mutable peak_queue : int;
   mutable peak_in_service : int;
-  admitted : int array;
+  leases : int array;  (* leases granted per server *)
   mutable ran : bool;
   m_queue : float ref;
   m_in_service : float ref;
@@ -68,11 +70,12 @@ let create sim ~servers ?(limit_per_server = 4) ?(policy = All_at_once) () =
     policy;
     slots = Semaphore.create (servers * limit_per_server);
     load = Array.make servers 0;
+    peak_load = Array.make servers 0;
     waiting = 0;
     in_service = 0;
     peak_queue = 0;
     peak_in_service = 0;
-    admitted = Array.make servers 0;
+    leases = Array.make servers 0;
     ran = false;
     m_queue = Metrics.gauge (Sim.metrics sim) "fleet.sched.queue_depth";
     m_in_service = Metrics.gauge (Sim.metrics sim) "fleet.sched.in_service";
@@ -80,7 +83,8 @@ let create sim ~servers ?(limit_per_server = 4) ?(policy = All_at_once) () =
 
 let peak_queue t = t.peak_queue
 let peak_in_service t = t.peak_in_service
-let admitted_per_server t = Array.copy t.admitted
+let peak_per_server t = Array.copy t.peak_load
+let admitted_per_server t = Array.copy t.leases
 
 (* The pool semaphore guarantees sum(free per-server slots) > 0 here, so
    the least-loaded server always has room. *)
@@ -91,46 +95,63 @@ let lease t =
   done;
   assert (t.load.(!best) < t.limit_per_server);
   t.load.(!best) <- t.load.(!best) + 1;
-  t.admitted.(!best) <- t.admitted.(!best) + 1;
+  t.peak_load.(!best) <- max t.peak_load.(!best) t.load.(!best);
+  t.leases.(!best) <- t.leases.(!best) + 1;
   !best
 
-let run_one t ~name body =
-  let submitted = Sim.clock () in
-  t.waiting <- t.waiting + 1;
-  t.peak_queue <- max t.peak_queue t.waiting;
-  Metrics.set t.m_queue (float_of_int t.waiting);
-  Semaphore.acquire t.slots;
-  t.waiting <- t.waiting - 1;
-  Metrics.set t.m_queue (float_of_int t.waiting);
+(* Only a job that finds the pool full counts as waiting. *)
+let acquire t =
+  if not (Semaphore.try_acquire t.slots) then begin
+    t.waiting <- t.waiting + 1;
+    t.peak_queue <- max t.peak_queue t.waiting;
+    Metrics.set t.m_queue (float_of_int t.waiting);
+    Semaphore.acquire t.slots;
+    t.waiting <- t.waiting - 1;
+    Metrics.set t.m_queue (float_of_int t.waiting)
+  end;
   let server = lease t in
   t.in_service <- t.in_service + 1;
   t.peak_in_service <- max t.peak_in_service t.in_service;
   Metrics.incr t.m_admitted;
   Metrics.set t.m_in_service (float_of_int t.in_service);
-  let started = Sim.clock () in
-  let tr = Sim.trace t.sim in
-  let traced = Trace.on tr ~cat:"fleet" in
-  (* Boot-pipeline "queue" stage: admission wait, from submission to
-     release. Job names are machine names by convention (Scaleout
-     deploys "node%d" jobs), which is what lets [Analytics] stitch this
-     span onto the same machine's vmm_init/discover/copy/devirt. *)
-  if Trace.on tr ~cat:"boot" then
-    Trace.complete tr ~cat:"boot"
-      ~args:[ ("m", Trace.Str name) ]
-      "queue" ~ts:submitted;
+  server
+
+let release_slot t server =
+  t.load.(server) <- t.load.(server) - 1;
+  t.in_service <- t.in_service - 1;
+  Metrics.set t.m_in_service (float_of_int t.in_service);
+  Semaphore.release t.slots
+
+(* The body runs from release; it is admitted only when it calls
+   [admit], and it holds its slot from then until it returns. *)
+let run_one t ~name body =
+  let released = Sim.clock () in
+  let held = ref None and closed = ref false in
+  let admit () =
+    if !closed then invalid_arg "Scheduler: admit called after the job ended";
+    if Option.is_none !held then begin
+      let queued = Sim.clock () in
+      let server = acquire t in
+      held := Some (server, queued, Sim.clock ())
+    end
+  in
   Fun.protect
     ~finally:(fun () ->
-      t.load.(server) <- t.load.(server) - 1;
-      t.in_service <- t.in_service - 1;
-      Metrics.set t.m_in_service (float_of_int t.in_service);
-      Semaphore.release t.slots)
-    (fun () -> body server);
+      closed := true;
+      Option.iter (fun (server, _, _) -> release_slot t server) !held)
+    (fun () -> body ~admit);
   let finished = Sim.clock () in
-  if traced then
-    Trace.complete tr ~cat:"fleet"
-      ~args:[ ("server", Trace.Int server); ("job", Trace.Str name) ]
-      "deploy" ~ts:started;
-  { name; server; submitted; started; finished }
+  match !held with
+  | Some (server, queued, admitted) ->
+    let tr = Sim.trace t.sim in
+    if Trace.on tr ~cat:"fleet" then
+      Trace.complete tr ~cat:"fleet"
+        ~args:[ ("server", Trace.Int server); ("job", Trace.Str name) ]
+        "deploy" ~ts:admitted;
+    { name; server = Some server; released; queued; admitted; finished }
+  | None ->
+    { name; server = None; released; queued = finished; admitted = finished;
+      finished }
 
 let run t jobs =
   if t.ran then invalid_arg "Scheduler.run: scheduler already used";

@@ -5,7 +5,7 @@
    Input convention (see DESIGN.md §10): instrumented subsystems emit
    complete spans in category "boot" whose [name] is a pipeline stage
    and whose args carry [("m", Str machine)]. The stages tile each
-   machine's boot timeline sequentially (queue → vmm_init → discover →
+   machine's boot timeline sequentially (vmm_init → queue → discover →
    copy → devirt), so per machine the stage durations sum to the boot
    total — the invariant the test suite checks. Spans in other
    categories tagged with both "m" and "stage" args are folded into a
@@ -16,7 +16,7 @@
    outputs — including [to_json] — are byte-identical across same-seed
    runs. *)
 
-let stage_order = [ "queue"; "vmm_init"; "discover"; "copy"; "devirt" ]
+let stage_order = [ "vmm_init"; "queue"; "discover"; "copy"; "devirt" ]
 
 let stage_rank s =
   let rec idx i = function

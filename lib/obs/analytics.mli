@@ -7,7 +7,7 @@
     Input convention: complete spans in category ["boot"] whose name is
     a pipeline stage and whose args carry [("m", Str machine)]. Stages
     tile each machine's boot timeline sequentially
-    ([queue → vmm_init → discover → copy → devirt]), so per machine the
+    ([vmm_init → queue → discover → copy → devirt]), so per machine the
     stage durations sum to the boot total. Spans in {e other}
     categories tagged with both ["m"] and ["stage"] args feed a
     per-operation latency table instead (AoE commands, copy-on-read
@@ -19,7 +19,7 @@
 type t
 
 val stage_order : string list
-(** Canonical pipeline order, ["queue"] through ["devirt"]; unknown
+(** Canonical pipeline order, ["vmm_init"] through ["devirt"]; unknown
     stages sort after these, alphabetically. *)
 
 val create : ?slo_s:float -> unit -> t

@@ -159,8 +159,9 @@ let buf_add_json_string b s =
     s;
   Buffer.add_char b '"'
 
+(* JSON has no NaN or infinity: a non-finite value exports as [null]. *)
 let buf_add_float b v =
-  if Float.is_nan v then Buffer.add_string b "null"
+  if not (Float.is_finite v) then Buffer.add_string b "null"
   else if Float.is_integer v && Float.abs v < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" v)
   else Buffer.add_string b (Printf.sprintf "%.9g" v)

@@ -87,6 +87,7 @@ val write : ?filter:(string -> bool) -> t -> string -> unit
 (**/**)
 
 (* Export plumbing shared with the rest of lib/obs so every JSON writer
-   formats strings and floats identically (byte-stable exports). *)
+   formats strings and floats identically (byte-stable exports); a
+   non-finite float prints as [null]. *)
 val buf_add_json_string : Buffer.t -> string -> unit
 val buf_add_float : Buffer.t -> float -> unit

@@ -156,33 +156,15 @@ let counter t ~cat name v =
         value = v;
         args = no_args }
 
-(* --- export --- *)
+(* --- export ---
 
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let buf_add_float b v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" v)
-  else Buffer.add_string b (Printf.sprintf "%.9g" v)
+   Strings and floats go through [Metrics]' writers, so both exports
+   escape alike and a non-finite value prints as JSON [null]. *)
 
 let buf_add_value b = function
   | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f -> buf_add_float b f
-  | Str s -> buf_add_json_string b s
+  | Float f -> Metrics.buf_add_float b f
+  | Str s -> Metrics.buf_add_json_string b s
   | Bool x -> Buffer.add_string b (if x then "true" else "false")
 
 let buf_add_args b args =
@@ -190,7 +172,7 @@ let buf_add_args b args =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      buf_add_json_string b k;
+      Metrics.buf_add_json_string b k;
       Buffer.add_char b ':';
       buf_add_value b v)
     args;
@@ -224,9 +206,9 @@ let buf_add_event b ~tracks ev =
   Buffer.add_string b ",\"pid\":1,\"tid\":";
   Buffer.add_string b (string_of_int (tid_of tracks ev.cat));
   Buffer.add_string b ",\"cat\":";
-  buf_add_json_string b ev.cat;
+  Metrics.buf_add_json_string b ev.cat;
   Buffer.add_string b ",\"name\":";
-  buf_add_json_string b ev.name;
+  Metrics.buf_add_json_string b ev.name;
   Buffer.add_string b ",\"ts\":";
   buf_add_us b ev.ts;
   (match ev.phase with
@@ -237,7 +219,7 @@ let buf_add_event b ~tracks ev =
   (match ev.phase with
   | P_counter ->
     Buffer.add_string b ",\"args\":{\"value\":";
-    buf_add_float b ev.value;
+    Metrics.buf_add_float b ev.value;
     Buffer.add_char b '}'
   | P_span | P_instant ->
     if ev.args <> [] then begin
@@ -258,7 +240,7 @@ let to_chrome t =
         (Printf.sprintf
            ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":"
            tid);
-      buf_add_json_string b cat;
+      Metrics.buf_add_json_string b cat;
       Buffer.add_string b "}}")
     tracks;
   iter t (fun ev ->

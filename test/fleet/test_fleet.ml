@@ -276,9 +276,13 @@ let in_sim ?(seed = 42) f =
   | Some r -> r
   | None -> Alcotest.fail "scenario did not complete"
 
+(* Jobs that take their admission lease at once and hold it [span]. *)
 let sleepy_jobs n span =
   List.init n (fun i ->
-      (Printf.sprintf "job%d" i, fun (_ : int) -> Sim.sleep span))
+      ( Printf.sprintf "job%d" i,
+        fun ~admit ->
+          admit ();
+          Sim.sleep span ))
 
 let test_scheduler_admission_cap () =
   let stats, peak_q, peak_s, admitted =
@@ -315,7 +319,9 @@ let test_scheduler_waves () =
   in
   (* Wave w starts only after wave w-1 finished: starts come in strictly
      separated pairs. *)
-  let starts = List.map (fun j -> Time.to_float_s j.Scheduler.started) stats in
+  let starts =
+    List.map (fun j -> Time.to_float_s j.Scheduler.admitted) stats
+  in
   let sorted = List.sort compare starts in
   (match sorted with
   | [ a; b; c; d; e; f ] ->
@@ -346,9 +352,80 @@ let test_scheduler_stagger () =
       check_bool
         (Printf.sprintf "job %d released at %dms" i (i * 200))
         true
-        (Time.to_float_s j.Scheduler.started
+        (Time.to_float_s j.Scheduler.released
         >= (float_of_int i *. 0.2) -. 1e-9))
     stats
+
+(* Calling [admit] again is a no-op: one slot, one lease, one queue
+   wait per job, however many times the body asks. *)
+let test_scheduler_admit_idempotent () =
+  let stats, peak_s, admitted =
+    in_sim (fun sim ->
+        let s = Scheduler.create sim ~servers:1 ~limit_per_server:1 () in
+        let job i =
+          ( Printf.sprintf "job%d" i,
+            fun ~admit ->
+              admit ();
+              Sim.sleep (Time.s 1);
+              admit ();
+              admit ();
+              Sim.sleep (Time.s 1) )
+        in
+        let stats = Scheduler.run s [ job 0; job 1 ] in
+        (stats, Scheduler.peak_in_service s, Scheduler.admitted_per_server s))
+  in
+  check_int "one slot in use at a time" 1 peak_s;
+  check_int "one lease per job" 2 admitted.(0);
+  match stats with
+  | [ a; b ] ->
+    check_bool "first job admitted at once" true
+      (Scheduler.queue_delay_s a = 0.0);
+    check_bool "second job waited the first job's whole service" true
+      (Scheduler.queue_delay_s b = 2.0);
+    check_bool "each held its slot 2 s" true
+      (Scheduler.service_s a = 2.0 && Scheduler.service_s b = 2.0)
+  | _ -> Alcotest.fail "expected 2 stats"
+
+(* A body that never calls [admit] runs under its release policy but
+   holds no slot: with a single slot, an admitted job beside it never
+   waits, and the unadmitted job has no lease. Once a body has
+   returned, its [admit] refuses rather than leak a slot. *)
+let test_scheduler_unadmitted_holds_nothing () =
+  let stats, peak_s, admitted, late =
+    in_sim (fun sim ->
+        let s = Scheduler.create sim ~servers:1 ~limit_per_server:1 () in
+        let escaped = ref ignore in
+        let stats =
+          Scheduler.run s
+            [ ( "free",
+                fun ~admit ->
+                  escaped := admit;
+                  Sim.sleep (Time.s 5) );
+              ( "admitted",
+                fun ~admit ->
+                  admit ();
+                  Sim.sleep (Time.s 1) ) ]
+        in
+        let late =
+          match !escaped () with
+          | () -> false
+          | exception Invalid_argument _ -> true
+        in
+        ( stats,
+          Scheduler.peak_in_service s,
+          Scheduler.admitted_per_server s,
+          late ))
+  in
+  check_int "only the admitted job held a slot" 1 peak_s;
+  check_int "one lease" 1 admitted.(0);
+  check_bool "admit after the job ended raises" true late;
+  match stats with
+  | [ free; adm ] ->
+    check_bool "unadmitted job has no lease" true
+      (free.Scheduler.server = None && Scheduler.service_s free = 0.0);
+    check_bool "admitted job never waited" true
+      (adm.Scheduler.server = Some 0 && Scheduler.queue_delay_s adm = 0.0)
+  | _ -> Alcotest.fail "expected 2 stats"
 
 let test_scheduler_single_use () =
   check_bool "second run raises" true
@@ -443,7 +520,7 @@ let test_fleet_report_deterministic () =
     (String.equal (Analytics.to_text a) (Analytics.to_text b))
 
 (* Stage-sum = boot-total on a real deployment: per machine, the five
-   pipeline spans (queue, vmm_init, discover, copy, devirt) must tile
+   pipeline spans (vmm_init, queue, discover, copy, devirt) must tile
    the boot timeline with no gaps or overlaps, so their durations sum
    exactly (integer ns) to last-span-end minus first-span-start. *)
 let test_fleet_stage_tiling () =
@@ -754,6 +831,79 @@ let test_fleet_mcast_scale_deterministic_trace () =
   check_bool "summaries identical" true
     (ra.Scaleout.ttdv = rb.Scaleout.ttdv && ra.Scaleout.ttfb = rb.Scaleout.ttfb)
 
+(* --- the admission gate: machines are admitted at their first
+   storage-tier access, after PXE and VMM init --- *)
+
+(* 12 machines on 2 replicas x 2 slots: eight of them finish VMM init
+   and then wait at the gate. Traces the boot pipeline and every AoE
+   command, each tagged with its machine. *)
+let gate_run distribution =
+  let tr = Trace.create ~categories:[ "boot"; "aoe" ] () in
+  let r =
+    Scaleout.deploy_fleet ~seed:3 ~image_mb:4
+      ~boot_profile:Bmcast_guest.Os.cloud_minimal ~distribution
+      ~limit_per_server:2 ~machines:12 ~replicas:2 ~trace:tr ()
+  in
+  (r, tr)
+
+let gate_modes = [ `Unicast; `P2p; `Mcast ]
+
+(* A machine's admission is the end of its "queue" span. No machine
+   sends an AoE command — to a vblade or, in P2P mode, a peer — before
+   it, so no vblade receives a frame from a machine that has not been
+   admitted. *)
+let test_gate_no_tier_access_before_admission () =
+  List.iter
+    (fun mode ->
+      let name = Scaleout.distribution_to_string mode in
+      let _, tr = gate_run mode in
+      let admitted = Hashtbl.create 16 and first_aoe = Hashtbl.create 16 in
+      Trace.iter tr (fun (e : Trace.event) ->
+          match (e.Trace.phase, List.assoc_opt "m" e.Trace.args) with
+          | Trace.P_span, Some (Trace.Str m) ->
+            if e.Trace.cat = "boot" && e.Trace.name = "queue" then
+              Hashtbl.replace admitted m (e.Trace.ts + e.Trace.dur, e.Trace.dur)
+            else if e.Trace.cat = "aoe" then
+              let prior =
+                Option.value (Hashtbl.find_opt first_aoe m) ~default:max_int
+              in
+              Hashtbl.replace first_aoe m (min prior e.Trace.ts)
+          | _ -> ());
+      check_int (name ^ ": no trace drops") 0 (Trace.dropped tr);
+      check_int (name ^ ": every machine gated") 12 (Hashtbl.length admitted);
+      check_int (name ^ ": every machine used the tier") 12
+        (Hashtbl.length first_aoe);
+      let waited =
+        Hashtbl.fold (fun _ (_, dur) n -> if dur > 0 then n + 1 else n)
+          admitted 0
+      in
+      check_bool (name ^ ": machines queued at the gate") true (waited >= 8);
+      Hashtbl.iter
+        (fun m (at, _) ->
+          let first = Hashtbl.find first_aoe m in
+          if first < at then
+            Alcotest.failf "%s: %s sent AoE at %d ns, admitted at %d ns" name
+              m first at)
+        admitted)
+    gate_modes
+
+(* [limit_per_server] bounds the machines in service against each
+   server, in every distribution mode, and the gate fills it. *)
+let test_gate_per_server_limit () =
+  List.iter
+    (fun mode ->
+      let name = Scaleout.distribution_to_string mode in
+      let r, _ = gate_run mode in
+      Array.iteri
+        (fun i peak ->
+          check_int (Printf.sprintf "%s: server %d peak in service" name i) 2
+            peak)
+        r.Scaleout.peak_per_server;
+      check_int (name ^ ": pool peak in service") 4 r.Scaleout.peak_in_service;
+      check_int (name ^ ": machines waiting at the gate") 8
+        r.Scaleout.peak_queue)
+    gate_modes
+
 let test_fleet_replicas_beat_single () =
   (* The tentpole claim at test scale: 8 machines on 1 replica vs 2. *)
   let one =
@@ -785,6 +935,9 @@ let () =
           tc "admission cap" `Quick test_scheduler_admission_cap;
           tc "waves" `Quick test_scheduler_waves;
           tc "stagger" `Quick test_scheduler_stagger;
+          tc "admit idempotent" `Quick test_scheduler_admit_idempotent;
+          tc "unadmitted job holds no slot" `Quick
+            test_scheduler_unadmitted_holds_nothing;
           tc "single use" `Quick test_scheduler_single_use ] );
       ( "fleet",
         [ tc "failover converges" `Slow test_fleet_failover_converges;
@@ -799,6 +952,11 @@ let () =
           tc "watchdog detects injected crash" `Slow
             test_fleet_watchdog_detects_crash;
           tc "replicas beat single" `Slow test_fleet_replicas_beat_single ] );
+      ( "admission",
+        [ tc "no tier access before admission" `Slow
+            test_gate_no_tier_access_before_admission;
+          tc "per-server limit in every mode" `Slow
+            test_gate_per_server_limit ] );
       ( "distribution",
         [ tc "p2p offloads and converges" `Slow test_p2p_offloads_and_converges;
           tc "mcast fills and converges" `Slow test_mcast_fills_and_converges;

@@ -45,10 +45,10 @@ let fig14 () =
 (* Engine cost, measured only in host-invariant units. Event and call
    counts are printed, so any change to them is a golden diff. Minor
    words per event or per call are asserted against fixed ceilings
-   instead of printed: a compiler upgrade may shift them slightly, and
-   that must not flake the golden, but a real allocation regression on
-   a hot path must fail. Host time is gated by perfbench's calibrated
-   [wall_s], never here. *)
+   instead of printed: they are exact for a given binary, but a
+   compiler upgrade may shift them slightly, and that must fail here
+   with a message rather than as a golden diff. Host time is gated by
+   perfbench's calibrated [wall_s], never here. *)
 
 (* Minor words [f] allocates, counted from an empty minor heap. *)
 let minor_words f =
@@ -57,10 +57,12 @@ let minor_words f =
   let r = f () in
   (r, Gc.minor_words () -. w0)
 
-(* Ceilings: the figures committed when these workloads were last
-   baselined, plus 25% and one word. The word of slack keeps the
-   near-zero figures from tripping on calibration rounding. *)
-let ceiling committed = (committed *. 1.25) +. 1.0
+(* Ceilings: the figures this binary measured when the workloads were
+   last baselined, plus half a word. The figures repeat exactly run to
+   run, so the slack only absorbs the rounding of the committed figure;
+   two words more per scheduled event breach every tier. Re-baseline
+   after a compiler change or a deliberate allocation change. *)
+let ceiling committed = committed +. 0.5
 
 let breaches = ref []
 
@@ -135,7 +137,7 @@ let fleet () =
   let r, words = minor_words (fun () -> fleet_deploy ()) in
   let events = r.Scaleout.sim_events in
   Printf.printf "fleet 250x16: events %d\n" events;
-  check_ceiling "fleet" ~units:"words/event" ~committed:17.15
+  check_ceiling "fleet" ~units:"words/event" ~committed:19.13
     (words /. float_of_int events);
   let prof = Profile.create () in
   let r = fleet_deploy ~profile:prof () in
@@ -154,7 +156,7 @@ let fleet () =
       check_ceiling label ~units:"words/call" ~committed
         (words /. float_of_int calls)
   in
-  category "net.send" (String.equal "net.send") ~committed:0.05;
+  category "net.send" (String.equal "net.send") ~committed:0.055;
   category "mmio.*" (String.starts_with ~prefix:"mmio.") ~committed:0.03
 
 let engine () =

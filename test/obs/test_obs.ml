@@ -329,6 +329,37 @@ let test_export_shapes () =
   check_contains "track metadata" chrome
     "\"name\":\"thread_name\",\"args\":{\"name\":\"sim\"}"
 
+(* JSON has no NaN or infinity: non-finite counter values and float
+   args must export as [null] in both formats, exactly as [Metrics]
+   writes them. *)
+let test_export_non_finite () =
+  let t = Trace.create () in
+  Trace.counter t ~cat:"sim" "nan" Float.nan;
+  Trace.counter t ~cat:"sim" "inf" Float.infinity;
+  Trace.counter t ~cat:"sim" "neg_inf" Float.neg_infinity;
+  Trace.instant t ~cat:"sim" ~args:[ ("x", Trace.Float Float.nan) ] "mark";
+  let count hay needle =
+    let nl = String.length needle in
+    let n = ref 0 in
+    for i = 0 to String.length hay - nl do
+      if String.sub hay i nl = needle then incr n
+    done;
+    !n
+  in
+  List.iter
+    (fun (fmt, out) ->
+      check_int (fmt ^ ": counters export null") 3
+        (count out "\"args\":{\"value\":null}");
+      check_contains (fmt ^ ": float arg exports null") out
+        "\"args\":{\"x\":null}";
+      check_bool (fmt ^ ": no bare nan/inf") false
+        (contains out ":nan" || contains out ":inf" || contains out ":-inf"))
+    [ ("jsonl", Trace.to_jsonl t); ("chrome", Trace.to_chrome t) ];
+  let m = Metrics.create () in
+  Metrics.set (Metrics.gauge m "g_inf") Float.infinity;
+  check_contains "metrics infinity exports null" (Metrics.to_json m)
+    "\"g_inf\": null"
+
 let test_export_deterministic () =
   let build () =
     let t = Trace.create () in
@@ -466,8 +497,8 @@ let test_profile_mismatch_counted () =
 (* --- Analytics: synthetic boot pipelines --- *)
 
 (* Two hand-built boots on a clock-driven tracer. Durations in ms:
-     fast: queue 1, vmm_init 2, discover 3, copy 4, devirt 0.5  (10.5)
-     slow: queue 2, vmm_init 2, discover 1, copy 20, devirt 1   (26)   *)
+     fast: vmm_init 2, queue 1, discover 3, copy 4, devirt 0.5  (10.5)
+     slow: vmm_init 2, queue 2, discover 1, copy 20, devirt 1   (26)   *)
 let synthetic_trace () =
   let t = Trace.create () in
   let now = ref 0 in
@@ -485,10 +516,10 @@ let synthetic_trace () =
     |> ignore
   in
   boot "fast"
-    [ ("queue", 1.0); ("vmm_init", 2.0); ("discover", 3.0); ("copy", 4.0);
+    [ ("vmm_init", 2.0); ("queue", 1.0); ("discover", 3.0); ("copy", 4.0);
       ("devirt", 0.5) ];
   boot "slow"
-    [ ("queue", 2.0); ("vmm_init", 2.0); ("discover", 1.0); ("copy", 20.0);
+    [ ("vmm_init", 2.0); ("queue", 2.0); ("discover", 1.0); ("copy", 20.0);
       ("devirt", 1.0) ];
   (* An op-level span (other category, "m" + "stage" args) must land in
      the per-operation table, not the boot pipeline. *)
@@ -505,7 +536,7 @@ let test_analytics_pipeline () =
     "machine names sorted" [ "fast"; "slow" ] (Analytics.machine_names a);
   Alcotest.(check (list (pair string (float 1e-9))))
     "stages in pipeline order"
-    [ ("queue", 1.0); ("vmm_init", 2.0); ("discover", 3.0); ("copy", 4.0);
+    [ ("vmm_init", 2.0); ("queue", 1.0); ("discover", 3.0); ("copy", 4.0);
       ("devirt", 0.5) ]
     (Analytics.stage_ms a "fast");
   (* stage-sum = boot-total invariant *)
@@ -1084,6 +1115,8 @@ let () =
           Alcotest.test_case "category filter" `Quick test_category_filter;
           Alcotest.test_case "ring drops oldest" `Quick test_ring_drops_oldest;
           Alcotest.test_case "export shapes" `Quick test_export_shapes;
+          Alcotest.test_case "non-finite exports null" `Quick
+            test_export_non_finite;
           Alcotest.test_case "exports deterministic" `Quick
             test_export_deterministic ] );
       ( "metrics",
